@@ -23,6 +23,11 @@ slot in place and the run loop discards blanked entries as they surface.
 When cancelled entries outnumber live ones the queue is compacted, so a
 workload that schedules and cancels many timers (e.g. retransmission
 timeouts) does not grow the queue without bound.
+
+:meth:`Engine.stop` ends a run early without a per-event test: it
+queues a sentinel entry at ``(now, next seq)`` whose callback raises a
+private exception, which each run loop catches beside its
+queue-drained ``IndexError``.
 """
 
 from __future__ import annotations
@@ -46,6 +51,15 @@ SCHEDULER_ENV = "REPRO_SCHEDULER"
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling operations."""
+
+
+class _StopRun(Exception):
+    """Unwinds the active run loop; raised only by the stop sentinel."""
+
+
+def _raise_stop() -> None:
+    """Callback of the :meth:`Engine.stop` sentinel entry."""
+    raise _StopRun
 
 
 class Event:
@@ -318,7 +332,7 @@ class Engine:
 
     __slots__ = (
         "now", "_heap", "_sched", "_seq", "_n_cancelled", "events_processed",
-        "run_horizon", "batching_ok",
+        "run_horizon", "batching_ok", "_running", "_stop_entry",
     )
 
     def __init__(self, scheduler: "str | BucketScheduler | None" = None) -> None:
@@ -333,6 +347,9 @@ class Engine:
         #: the only state in which cohort batching may commit work ahead
         #: of the queue (see :meth:`repro.sim.network.Network.send_cohort`).
         self.batching_ok = False
+        self._running = False
+        #: The queued stop sentinel of the active run, if any.
+        self._stop_entry: list | None = None
         self._sched = _make_scheduler(scheduler)
         # The heap scheduler is inlined on the hot paths: ``_heap`` is
         # the live list when it is in use, ``None`` otherwise.
@@ -466,12 +483,13 @@ class Engine:
         self.events_processed += n
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Process events until the queue empties, ``until`` passes, or
-        ``max_events`` have fired.
+        """Process events until the queue empties, ``until`` passes,
+        ``max_events`` have fired, or a callback calls :meth:`stop`.
 
         Advances ``now`` to ``until`` at the end when a horizon is given,
-        even if the queue drained earlier (unless ``max_events`` stopped
-        the run first).
+        even if the queue drained earlier — unless ``max_events`` or
+        :meth:`stop` ended the run first, in which case ``now`` stays at
+        the last fired event's time.
 
         When :mod:`repro.obs` is armed, each call additionally records
         one ``engine.run`` span plus aggregate counters (events popped
@@ -499,16 +517,64 @@ class Engine:
                 tracer.add("engine.run", start, duration,
                            kind=kind, events=delta)
 
+    def stop(self) -> None:
+        """End the active :meth:`run` once the current instant's queued
+        events have fired.
+
+        Meant to be called from inside a callback — e.g. a closed-loop
+        probe that has recorded its last sample, after which nothing the
+        run does can change the measurement.  Events already queued for
+        ``now`` still fire (in ``(time, seq)`` order); events scheduled
+        after this call, including zero-delay ones, and every later
+        event stay queued, so a later :meth:`run` resumes exactly where
+        this one ended.  ``now`` stays at the stop instant (it is not
+        advanced to ``until``), and ``events_processed`` counts only
+        the callbacks that fired.  A second call before the run ends is
+        a no-op; a stop that a ``max_events`` bound overtakes is
+        discarded with the run.
+
+        Cohort work that ``Network.send_cohort`` committed past the stop
+        instant before the call stays committed; the queue itself is
+        exact.  Costs nothing per event: it queues one sentinel entry
+        whose callback unwinds the run loop.  Raises
+        :class:`SimulationError` outside a run.
+        """
+        if not self._running:
+            raise SimulationError("stop() called outside a run")
+        pending = self._stop_entry
+        if pending is not None and pending[_CALLBACK] is not None:
+            return  # this run's sentinel is already queued
+        entry = [self.now, self._seq, _raise_stop, ()]
+        self._seq += 1
+        self._push_entry(entry)
+        self._stop_entry = entry
+
     def _run(self, until: float | None, max_events: int | None) -> None:
         """The dispatch body of :meth:`run` (observation-free)."""
-        if self._heap is not None and max_events is None:
-            # Specialized heap loops for the two hot call shapes; the
-            # shared general loop below covers everything else.
-            if until is None:
-                self._run_heap_unbounded()
+        self._running = True
+        try:
+            if self._heap is not None and max_events is None:
+                # Specialized heap loops for the two hot call shapes; the
+                # general loop covers everything else.
+                if until is None:
+                    self._run_heap_unbounded()
+                else:
+                    self._run_heap_until(until)
             else:
-                self._run_heap_until(until)
-            return
+                self._run_general(until, max_events)
+        finally:
+            self._running = False
+            entry = self._stop_entry
+            if entry is not None:
+                self._stop_entry = None
+                if entry[_CALLBACK] is not None:
+                    # The run ended before its stop sentinel surfaced
+                    # (``max_events``, or a callback raised): retire it.
+                    entry[_CALLBACK] = None
+                    self._note_cancelled()
+
+    def _run_general(self, until: float | None, max_events: int | None) -> None:
+        """Any scheduler, optional horizon, optional event bound."""
         processed = 0
         # ``max_events`` counts real queue pops, which batching would
         # blur — cohort commits stay disabled for bounded-event runs.
@@ -539,6 +605,8 @@ class Engine:
                 else:
                     callback()
                 processed += 1
+        except _StopRun:
+            return  # stopped: the clock stays at the stop instant
         finally:
             self.events_processed += processed
             self.batching_ok = False
@@ -568,8 +636,8 @@ class Engine:
                 else:
                     callback()
                 processed += 1
-        except IndexError:
-            pass  # heap drained
+        except (IndexError, _StopRun):
+            pass  # heap drained, or stopped
         finally:
             self.events_processed += processed
             self.batching_ok = False
@@ -603,6 +671,8 @@ class Engine:
                 processed += 1
         except IndexError:
             pass  # heap drained before the horizon
+        except _StopRun:
+            return  # stopped: the clock stays at the stop instant
         finally:
             self.events_processed += processed
             self.batching_ok = False
@@ -613,6 +683,9 @@ class Engine:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         queued = len(self._heap) if self._heap is not None else len(self._sched)
+        stop = self._stop_entry
+        if stop is not None and stop[_CALLBACK] is not None:
+            queued -= 1  # the stop sentinel is not an event
         return queued - self._n_cancelled
 
     # -- internal ----------------------------------------------------------------

@@ -338,6 +338,11 @@ class RPCSource:
     lands.  Round-trip latencies go to ``network.stats`` under
     ``group`` — per-leg packet latencies are not recorded, matching how
     the prototype measures RPC latency.
+
+    ``on_complete`` fires once, right after the ``num_calls``-th
+    round-trip time is recorded — e.g. ``network.engine.stop`` ends the
+    run at the last response, since nothing later can change the loop's
+    samples.
     """
 
     def __init__(
@@ -351,6 +356,7 @@ class RPCSource:
         server_think_time: float = 0.0,
         group: str = "rpc",
         flow_id: int = 0,
+        on_complete: Callable[[], None] | None = None,
     ) -> None:
         if num_calls < 1:
             raise SourceError("need at least one RPC call")
@@ -363,6 +369,7 @@ class RPCSource:
         self.server_think_time = server_think_time
         self.group = group
         self.flow_id = flow_id
+        self.on_complete = on_complete
         self.completed = 0
         self.rtts: list[float] = []
         self._call_started = 0.0
@@ -399,6 +406,8 @@ class RPCSource:
         self.completed += 1
         if self.completed < self.num_calls:
             self._issue_call()
+        elif self.on_complete is not None:
+            self.on_complete()
 
 
 def poisson_pair_sources(

@@ -334,3 +334,138 @@ class TestCreditEvents:
         engine.run(until=4.0)
         assert seen == [4.0]
         assert engine.run_horizon is None
+
+
+#: Every run-loop shape ``stop()`` must unwind: the two specialized heap
+#: loops, the general loop (forced by ``max_events``), and the bucket
+#: scheduler (always the general loop).
+RUN_SHAPES = [
+    pytest.param("heap", {"until": 50.0}, id="until"),
+    pytest.param("heap", {}, id="unbounded"),
+    pytest.param("heap", {"max_events": 1000}, id="max_events"),
+    pytest.param("bucket", {"until": 50.0}, id="bucket"),
+]
+
+
+def _stop_scenario(scheduler: str):
+    """Events at t=1, 2, 2, 2, 3, 4; the first t=2 event calls stop()."""
+    engine = Engine(scheduler=scheduler)
+    fired = []
+
+    def stopper():
+        fired.append("stop")
+        engine.stop()
+        # Scheduled after the stop, at the same instant: must not fire.
+        engine.call_at(engine.now, fired.append, "after-stop")
+
+    engine.call_at(1.0, fired.append, "t1")
+    engine.call_at(2.0, stopper)
+    engine.call_at(2.0, fired.append, "t2-a")
+    engine.call_at(2.0, fired.append, "t2-b")
+    engine.call_at(3.0, fired.append, "t3")
+    engine.call_at(4.0, fired.append, "t4")
+    return engine, fired
+
+
+class TestStop:
+    @pytest.mark.parametrize("scheduler, kwargs", RUN_SHAPES)
+    def test_queued_same_instant_events_fire_later_ones_do_not(self, scheduler, kwargs):
+        engine, fired = _stop_scenario(scheduler)
+        engine.run(**kwargs)
+        assert fired == ["t1", "stop", "t2-a", "t2-b"]
+
+    @pytest.mark.parametrize("scheduler, kwargs", RUN_SHAPES)
+    def test_clock_stays_at_stop_instant(self, scheduler, kwargs):
+        engine, _ = _stop_scenario(scheduler)
+        engine.run(**kwargs)
+        assert engine.now == 2.0  # not advanced to ``until``
+
+    @pytest.mark.parametrize("scheduler, kwargs", RUN_SHAPES)
+    def test_events_processed_excludes_the_sentinel(self, scheduler, kwargs):
+        engine, fired = _stop_scenario(scheduler)
+        engine.run(**kwargs)
+        assert engine.events_processed == len(fired) == 4
+        assert engine.pending() == 3  # after-stop, t3, t4
+
+    @pytest.mark.parametrize("scheduler, kwargs", RUN_SHAPES)
+    def test_second_run_resumes_in_order(self, scheduler, kwargs):
+        engine, fired = _stop_scenario(scheduler)
+        engine.run(**kwargs)
+        engine.run(**kwargs)
+        assert fired == ["t1", "stop", "t2-a", "t2-b", "after-stop", "t3", "t4"]
+        assert engine.events_processed == 7
+        assert engine.pending() == 0
+
+    @pytest.mark.parametrize("scheduler, kwargs", RUN_SHAPES)
+    def test_second_stop_in_same_instant_is_harmless(self, scheduler, kwargs):
+        engine = Engine(scheduler=scheduler)
+        fired = []
+
+        def stopper(tag):
+            fired.append(tag)
+            engine.stop()
+            # One sentinel at most, and it is not a pending event.
+            fired.append(engine.pending())
+
+        engine.call_at(1.0, stopper, "a")
+        engine.call_at(1.0, stopper, "b")
+        engine.call_at(2.0, fired.append, "later")
+        engine.run(**kwargs)
+        assert fired == ["a", 2, "b", 1]
+        assert engine.pending() == 1
+        # No stale sentinel is left behind to cut the next run short.
+        engine.run(**kwargs)
+        assert fired == ["a", 2, "b", 1, "later"]
+        assert engine.events_processed == 3
+
+    def test_stop_outside_a_run_raises(self):
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.stop()
+        engine.schedule(1.0, lambda: None)
+        engine.run()
+        with pytest.raises(SimulationError):
+            engine.stop()
+
+    def test_stop_overtaken_by_max_events_is_discarded(self):
+        engine = Engine()
+        fired = []
+
+        def stopper():
+            fired.append("stop")
+            engine.stop()
+
+        engine.call_at(1.0, stopper)
+        engine.call_at(1.0, fired.append, "same-instant")
+        engine.call_at(2.0, fired.append, "later")
+        engine.run(max_events=1)
+        assert fired == ["stop"]
+        assert engine.pending() == 2
+        engine.run()
+        assert fired == ["stop", "same-instant", "later"]
+        assert engine.now == 2.0
+
+    def test_run_horizon_and_batching_reset_after_stop(self):
+        engine = Engine()
+        engine.call_at(1.0, engine.stop)
+        engine.run(until=5.0)
+        assert engine.run_horizon is None
+        assert not engine.batching_ok
+
+    def test_obs_span_recorded_for_stopped_run(self):
+        from repro import obs
+
+        was_armed = obs.armed()
+        obs.disarm()  # fresh registry and tracer for this run only
+        obs.arm()
+        try:
+            engine, fired = _stop_scenario("heap")
+            engine.run(until=50.0)
+            spans = [s for s in obs.tracer().spans if s.name == "engine.run"]
+            assert len(spans) == 1
+            assert spans[0].args["events"] == len(fired) == 4
+            assert obs.registry().counters["engine.events.heap"] == 4
+        finally:
+            obs.disarm()
+            if was_armed:
+                obs.arm()

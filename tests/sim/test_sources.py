@@ -149,6 +149,48 @@ class TestRPCSource:
         with pytest.raises(SourceError):
             RPCSource(net, "h0.0", "h1.0", num_calls=0)
 
+    def test_on_complete_fires_once_after_last_rtt_recorded(self, net):
+        seen = []
+        rpc = RPCSource(
+            net, "h0.0", "h1.0", num_calls=20, group="probe",
+            on_complete=lambda: seen.append(
+                (rpc.completed, len(rpc.rtts), net.stats.summary("probe").count)
+            ),
+        )
+        rpc.start()
+        net.run()
+        assert seen == [(20, 20, 20)]
+
+    def test_on_complete_never_fires_for_an_unfinished_loop(self, net):
+        seen = []
+        rpc = RPCSource(net, "h0.0", "h1.0", num_calls=1000,
+                        on_complete=lambda: seen.append(True))
+        rpc.start()
+        net.run(until=50e-6)  # far too short for 1000 round trips
+        assert 0 < rpc.completed < 1000
+        assert seen == []
+
+    def test_stopping_at_completion_keeps_rtts_identical(self):
+        def probe(stop: bool) -> tuple[list[float], int]:
+            topo = T.full_mesh(4, 2)
+            network = Network(topo, ECMPRouter(topo))
+            rpc = RPCSource(
+                network, "h0.0", "h1.0", num_calls=30,
+                on_complete=network.engine.stop if stop else None,
+            )
+            rpc.start()
+            # Cross traffic on the RPC's path outlives the loop.
+            BurstSource(network, "h0.1", "h1.0", target_bandwidth_bps=300 * MBPS,
+                        seed=4).start()
+            network.run(until=0.01)
+            assert rpc.completed == 30
+            return rpc.rtts, network.engine.events_processed
+
+        stopped_rtts, stopped_events = probe(stop=True)
+        full_rtts, full_events = probe(stop=False)
+        assert stopped_rtts == full_rtts
+        assert stopped_events < full_events
+
 
 class TestPairSources:
     def test_one_source_per_pair(self, net):

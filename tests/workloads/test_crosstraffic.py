@@ -1,7 +1,11 @@
 """Tests for the prototype cross-traffic experiment (Section 6.1)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from repro.sim.engine import Engine
 from repro.topology.base import NodeKind
 from repro.units import MBPS
 from repro.workloads.crosstraffic import (
@@ -60,3 +64,38 @@ class TestExperiment:
     def test_curve_starts_at_one(self):
         curve = normalized_latency_curve("quartz", [100 * MBPS], num_calls=50)
         assert curve[0] == (0.0, 1.0)
+
+
+class TestStopAtLastResponse:
+    """Each run ends at the last RPC response (``Engine.stop``)."""
+
+    @pytest.mark.parametrize("wiring", ["quartz", "tree"])
+    def test_stopped_result_equals_full_horizon(self, wiring, monkeypatch):
+        stopped = run_cross_traffic_experiment(wiring, 20 * MBPS, num_calls=200, seed=3)
+        # A no-op stop runs the burst sources on to the 30 s horizon.
+        monkeypatch.setattr(Engine, "stop", lambda self: None)
+        full = run_cross_traffic_experiment(wiring, 20 * MBPS, num_calls=200, seed=3)
+        assert stopped == full
+
+
+def _load_fig14_bench():
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_fig14_cross_traffic.py"
+    spec = importlib.util.spec_from_file_location("bench_fig14_cross_traffic", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _RunOnce:
+    """Stands in for pytest-benchmark's fixture: one untimed call."""
+
+    @staticmethod
+    def pedantic(fn, rounds, iterations):
+        return fn()
+
+
+def test_figure14_paper_claim():
+    # The Figure 14 benchmark itself — its levels, call count and shape
+    # asserts — so a fidelity loss fails the test suite, not only the
+    # benchmark harness.
+    _load_fig14_bench().bench_fig14(_RunOnce(), report=lambda name, text: None)
