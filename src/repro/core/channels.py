@@ -229,8 +229,8 @@ def greedy_assignment(
 
     rng = random.Random(seed)
     m = ring_size
-    # channel_used[link] = set of wavelength indices occupied on that segment
-    channel_used: list[set[int]] = [set() for _ in range(m)]
+    # channel_used[link] = bitmask of wavelength indices occupied on that segment
+    channel_used = [0] * m
     link_paths = [0] * m
     assignments: list[PathAssignment] = []
 
@@ -249,31 +249,25 @@ def greedy_assignment(
         start = rng.randrange(len(pairs)) if seed is not None and order != "random" else 0
         ordered = pairs[start:] + pairs[:start]
         for s, t in ordered:
-            length = ring_distance(s, t, m)
-            cw_links = arc_links(s, t, m, clockwise=True)
-            ccw_links = arc_links(s, t, m, clockwise=False)
-            candidates: list[tuple[int, ...]] = []
-            if len(cw_links) == length:
-                candidates.append(cw_links)
-            if len(ccw_links) == length and ccw_links != cw_links:
-                candidates.append(ccw_links)
-            # On even rings the antipodal pairs have two equal-length arcs:
-            # prefer the arc whose segments currently carry fewer paths.
-            if len(candidates) == 2:
-                loads = [sum(link_paths[e] for e in links) for links in candidates]
+            # s < t, so the clockwise arc has t - s segments; only the
+            # shorter arc can win, and both tie on even-ring antipodes.
+            d = t - s
+            if 2 * d < m:
+                clockwise, links = True, tuple(range(s, t))
+            elif 2 * d > m:
+                clockwise, links = False, arc_links(s, t, m, clockwise=False)
+            else:
+                arcs = [(True, tuple(range(s, t))), (False, arc_links(s, t, m, clockwise=False))]
+                # Prefer the arc whose segments currently carry fewer
+                # paths; the other arc wins only with a lower wavelength.
+                loads = [sum(link_paths[e] for e in links) for _, links in arcs]
                 if loads[1] < loads[0]:
-                    candidates.reverse()
-
-            best: tuple[int, tuple[int, ...]] | None = None
-            for links in candidates:
-                channel = _first_fit(links, channel_used)
-                if best is None or channel < best[0]:
-                    best = (channel, links)
-            assert best is not None
-            channel, links = best
-            clockwise = links == cw_links
+                    arcs.reverse()
+                clockwise, links = min(arcs, key=lambda arc: first_fit(arc[1], channel_used))
+            channel = first_fit(links, channel_used)
+            bit = 1 << channel
             for e in links:
-                channel_used[e].add(channel)
+                channel_used[e] |= bit
                 link_paths[e] += 1
             assignments.append(
                 PathAssignment(src=s, dst=t, channel=channel, clockwise=clockwise, links=links)
@@ -287,12 +281,17 @@ def greedy_assignment(
     return plan
 
 
-def _first_fit(links: tuple[int, ...], channel_used: list[set[int]]) -> int:
-    """Lowest wavelength index free on every segment in ``links``."""
-    channel = 0
-    while any(channel in channel_used[e] for e in links):
-        channel += 1
-    return channel
+def first_fit(links: tuple[int, ...], used: list[int]) -> int:
+    """Lowest wavelength index free on every segment in ``links``.
+
+    ``used[e]`` is segment ``e``'s occupancy bitmask: bit ``i`` is set
+    while wavelength ``i`` is taken there.  The answer is the lowest
+    zero bit of the OR over the path's segments.
+    """
+    taken = 0
+    for e in links:
+        taken |= used[e]
+    return (~taken & (taken + 1)).bit_length() - 1
 
 
 # -- exact ILP (paper Eq. 1-6) -----------------------------------------------------

@@ -29,6 +29,7 @@ from repro.core.channels import (
     ChannelPlan,
     PathAssignment,
     arc_links,
+    first_fit,
     ring_distance,
 )
 
@@ -74,23 +75,20 @@ def expand_plan(
             added=(),
         )
 
-    channel_used: list[set[int]] = [set() for _ in range(m_new)]
-    link_paths = [0] * m_new
+    # channel_used[link] = bitmask of wavelength indices occupied on that segment
+    channel_used = [0] * m_new
     assignments: list[PathAssignment] = []
     preserved: list[tuple[int, int]] = []
     retuned: list[tuple[int, int]] = []
 
     def commit(a: PathAssignment) -> None:
+        bit = 1 << a.channel
         for e in a.links:
-            channel_used[e].add(a.channel)
-            link_paths[e] += 1
+            channel_used[e] |= bit
         assignments.append(a)
 
-    def first_fit(links: tuple[int, ...]) -> int:
-        channel = 0
-        while any(channel in channel_used[e] for e in links):
-            channel += 1
-        return channel
+    def free(links: tuple[int, ...]) -> int:
+        return first_fit(links, channel_used)
 
     # Phase 1: re-route existing pairs on the larger ring, keeping their
     # direction; longest new arcs first (most constrained).
@@ -102,7 +100,7 @@ def expand_plan(
 
     deferred: list[tuple[PathAssignment, tuple[int, ...]]] = []
     for a, links in rerouted:
-        if any(a.channel in channel_used[e] for e in links):
+        if any(channel_used[e] >> a.channel & 1 for e in links):
             deferred.append((a, links))
             continue
         commit(
@@ -119,9 +117,9 @@ def expand_plan(
     for a, links in deferred:
         other = arc_links(a.src, a.dst, m_new, not a.clockwise)
         best_links, clockwise = links, a.clockwise
-        if first_fit(other) < first_fit(links):
+        if free(other) < free(links):
             best_links, clockwise = other, not a.clockwise
-        channel = first_fit(best_links)
+        channel = free(best_links)
         commit(
             PathAssignment(
                 src=a.src, dst=a.dst, channel=channel,
@@ -143,8 +141,8 @@ def expand_plan(
         ccw = arc_links(s, t, m_new, clockwise=False)
         short, long_ = (cw, ccw) if len(cw) <= len(ccw) else (ccw, cw)
         candidates = [short] if len(short) < len(long_) else [short, long_]
-        best = min(candidates, key=first_fit)
-        channel = first_fit(best)
+        best = min(candidates, key=free)
+        channel = free(best)
         commit(
             PathAssignment(
                 src=s, dst=t, channel=channel,

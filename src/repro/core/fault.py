@@ -139,18 +139,21 @@ class RingFaultModel:
         seed: int = 0,
     ) -> FaultStats:
         """Sample ``trials`` uniform failure sets of ``num_failures`` segments."""
-        links = self.physical_links()
+        kernel = _SurvivalKernel(self)
+        links = kernel.link_masks
         if num_failures > len(links):
             raise FaultModelError(
                 f"cannot fail {num_failures} of {len(links)} fibre segments"
             )
+        # ``rng.sample`` picks positions, not values, so sampling the masks
+        # (in ``physical_links`` order) draws the same failure sets.
         rng = random.Random(seed)
         loss_total = 0.0
         partitions = 0
         for _ in range(trials):
-            failed = set(rng.sample(links, num_failures))
-            loss_total += self.bandwidth_loss(failed)
-            if self.is_partitioned(failed):
+            alive = kernel.alive(rng.sample(links, num_failures))
+            loss_total += kernel.loss(alive)
+            if kernel.partitioned(alive):
                 partitions += 1
         return FaultStats(
             num_rings=self.num_rings,
@@ -166,12 +169,68 @@ class RingFaultModel:
         Enumerates every failure combination; use for validating the
         Monte-Carlo on small rings.
         """
-        links = self.physical_links()
-        combos = list(itertools.combinations(links, num_failures))
+        kernel = _SurvivalKernel(self)
+        combos = list(itertools.combinations(kernel.link_masks, num_failures))
         if not combos:
             return 0.0
-        hits = sum(1 for combo in combos if self.is_partitioned(set(combo)))
+        hits = sum(1 for combo in combos if kernel.partitioned(kernel.alive(combo)))
         return hits / len(combos)
+
+
+class _SurvivalKernel:
+    """Bitset form of one model's pair survival, for the Monte-Carlo.
+
+    Channels live in an ``M × M`` adjacency bitmask: pair ``{s, t}``
+    owns bits ``s·M + t`` and ``t·M + s``, so row ``v`` (bits
+    ``v·M … v·M + M − 1``) is switch ``v``'s set of mesh neighbours.
+    ``link_masks`` holds, in :meth:`RingFaultModel.physical_links`
+    order, the channels each fibre segment carries; a failure set kills
+    the OR of its segments' masks.  The per-scenario methods of
+    :class:`RingFaultModel` stay the reference these results match.
+    """
+
+    def __init__(self, model: RingFaultModel) -> None:
+        m = model.ring_size
+        self.size = m
+        #: ``(1 << M) - 1``: every switch, and the width of one row.
+        self.everyone = (1 << m) - 1
+        self.pairs = len(model.pair_routes)
+        self.full = 0
+        self.link_masks = [0] * (model.num_rings * m)
+        for (s, t), (ring, segments) in model.pair_routes.items():
+            bits = 1 << (s * m + t) | 1 << (t * m + s)
+            self.full |= bits
+            for segment in segments:
+                self.link_masks[ring * m + segment] |= bits
+
+    def alive(self, failed_masks) -> int:
+        """Adjacency bitmask of the channels surviving these segment masks."""
+        dead = 0
+        for mask in failed_masks:
+            dead |= mask
+        return self.full & ~dead
+
+    def loss(self, alive: int) -> float:
+        """:meth:`RingFaultModel.bandwidth_loss` of one scenario."""
+        if self.pairs == 0:
+            return 0.0
+        return 1.0 - (alive.bit_count() // 2) / self.pairs
+
+    def partitioned(self, alive: int) -> bool:
+        """:meth:`RingFaultModel.is_partitioned`: a frontier BFS from switch 0."""
+        m, everyone = self.size, self.everyone
+        seen = frontier = 1
+        while frontier:
+            reached = seen
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reached |= alive >> ((low.bit_length() - 1) * m) & everyone
+                if reached == everyone:
+                    return False
+            frontier = reached & ~seen
+            seen = reached
+        return seen != everyone
 
 
 def degraded_mesh_topology(

@@ -29,6 +29,7 @@ from repro.core.channels import (
     ChannelPlan,
     PathAssignment,
     WDM_CHANNEL_LIMIT,
+    first_fit,
     greedy_assignment,
 )
 
@@ -93,13 +94,22 @@ class MultiRingPlan:
         """
         return {a.pair: (a.ring, a.links) for a in self.assignments}
 
+    def _segment_wavelengths(self) -> dict[tuple[int, int], list[int]]:
+        """``(ring, segment) -> wavelengths of the channels crossing it``.
+
+        Built in one pass over the assignments, each list in assignment
+        order; a segment no channel crosses has no entry.  Segment loads,
+        the imbalance and the clash check all read this one table.
+        """
+        table: dict[tuple[int, int], list[int]] = {}
+        for a in self.assignments:
+            for segment in a.links:
+                table.setdefault((a.ring, segment), []).append(a.wavelength)
+        return table
+
     def segment_load(self, ring: int, segment: int) -> int:
         """Channels crossing one fibre segment of one ring."""
-        return sum(
-            1
-            for a in self.assignments
-            if a.ring == ring and segment in a.links
-        )
+        return len(self._segment_wavelengths().get((ring, segment), ()))
 
     def max_segment_imbalance(self) -> int:
         """Worst over segments of (max − min) per-ring channel load.
@@ -108,9 +118,10 @@ class MultiRingPlan:
         rings; small values mean one fibre cut never takes a
         disproportionate share of any segment's channels.
         """
+        table = self._segment_wavelengths()
         worst = 0
         for segment in range(self.ring_size):
-            loads = [self.segment_load(r, segment) for r in range(self.num_rings)]
+            loads = [len(table.get((r, segment), ())) for r in range(self.num_rings)]
             worst = max(worst, max(loads) - min(loads))
         return worst
 
@@ -121,24 +132,28 @@ class MultiRingPlan:
         got = [a.pair for a in self.assignments]
         if len(got) != len(set(got)) or set(got) != expected:
             raise MultiRingPlanError("pair coverage is wrong")
+        on_ring: dict[int, set[int]] = {}
+        for a in self.assignments:
+            on_ring.setdefault(a.ring, set()).add(a.wavelength)
         for ring in range(self.num_rings):
-            if self.wavelengths_on_ring(ring) > self.wdm_channels:
+            used = len(on_ring.get(ring, ()))
+            if used > self.wdm_channels:
                 raise MultiRingPlanError(
-                    f"ring {ring} uses {self.wavelengths_on_ring(ring)} wavelengths, "
+                    f"ring {ring} uses {used} wavelengths, "
                     f"WDM supports {self.wdm_channels}"
                 )
         # No wavelength clash on any (ring, segment).
+        table = self._segment_wavelengths()
         for ring in range(self.num_rings):
             for segment in range(m):
                 seen: set[int] = set()
-                for a in self.assignments:
-                    if a.ring == ring and segment in a.links:
-                        if a.wavelength in seen:
-                            raise MultiRingPlanError(
-                                f"wavelength {a.wavelength} clashes on ring "
-                                f"{ring} segment {segment}"
-                            )
-                        seen.add(a.wavelength)
+                for wavelength in table.get((ring, segment), ()):
+                    if wavelength in seen:
+                        raise MultiRingPlanError(
+                            f"wavelength {wavelength} clashes on ring "
+                            f"{ring} segment {segment}"
+                        )
+                    seen.add(wavelength)
 
 
 @cached("multi-ring-plan")
@@ -173,14 +188,11 @@ def plan_rings(
     # hardest to place without wavelength clashes.
     ordered = sorted(plan.assignments, key=lambda a: -a.length)
 
-    # wavelengths_used[ring][segment] -> set of wavelengths occupied
-    wavelengths_used: list[list[set[int]]] = [
-        [set() for _ in range(ring_size)] for _ in range(num_rings)
-    ]
+    # wavelengths_used[ring][segment] -> bitmask of wavelengths occupied
+    wavelengths_used = [[0] * ring_size for _ in range(num_rings)]
     segment_channels: list[list[int]] = [
         [0] * ring_size for _ in range(num_rings)
     ]
-    ring_wavelengths: list[set[int]] = [set() for _ in range(num_rings)]
 
     assignments: list[RingAssignment] = []
     for path in ordered:
@@ -190,7 +202,6 @@ def plan_rings(
             wdm_channels,
             wavelengths_used,
             segment_channels,
-            ring_wavelengths,
         )
         if placed is None:
             raise MultiRingPlanError(
@@ -213,12 +224,12 @@ def _place(
     path: PathAssignment,
     num_rings: int,
     wdm_channels: int,
-    wavelengths_used: list[list[set[int]]],
+    wavelengths_used: list[list[int]],
     segment_channels: list[list[int]],
-    ring_wavelengths: list[set[int]],
 ) -> RingAssignment | None:
     """Place one path: pick the ring whose touched segments are least
-    loaded, then the first-fit wavelength there."""
+    loaded, then the first-fit wavelength there (below ``wdm_channels``,
+    so a ring never uses more wavelengths than its WDM supports)."""
     candidates = sorted(
         range(num_rings),
         key=lambda r: (
@@ -228,21 +239,13 @@ def _place(
         ),
     )
     for ring in candidates:
-        wavelength = 0
-        while wavelength < wdm_channels and any(
-            wavelength in wavelengths_used[ring][e] for e in path.links
-        ):
-            wavelength += 1
+        wavelength = first_fit(path.links, wavelengths_used[ring])
         if wavelength >= wdm_channels:
             continue
-        if wavelength not in ring_wavelengths[ring] and (
-            len(ring_wavelengths[ring]) >= wdm_channels
-        ):
-            continue
+        bit = 1 << wavelength
         for e in path.links:
-            wavelengths_used[ring][e].add(wavelength)
+            wavelengths_used[ring][e] |= bit
             segment_channels[ring][e] += 1
-        ring_wavelengths[ring].add(wavelength)
         return RingAssignment(
             pair=path.pair, ring=ring, wavelength=wavelength, links=path.links
         )
